@@ -15,8 +15,10 @@
 //!   --hold-us N         injected hold per commit, µs (default 2000)
 //!   --raw-txns N        commits for the raw (no-hold) t=1 runs (default 60000)
 //!   --check             assert the acceptance bar: >=2x at the largest t,
-//!                       <=5% regression at t=1 raw
-//!   --smoke             tiny run that only proves the bench executes
+//!                       <=5% regression at t=1 raw (median of interleaved
+//!                       striped/global pairs)
+//!   --smoke             few transactions per run, still up to t=8, so
+//!                       `--smoke --check` asserts the same bars
 
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
@@ -66,10 +68,13 @@ fn parse_args() -> Config {
         }
     }
     if cfg.smoke {
-        cfg.threads = vec![1, 2];
-        cfg.txns = 2;
+        // Holds are sleeps, so even a 2-core box can overlap t=8 commits;
+        // keeping the full thread list makes `--smoke --check` a real
+        // assertion.
+        cfg.threads = vec![1, 2, 4, 8];
+        cfg.txns = 4;
         cfg.hold_us = 500;
-        cfg.raw_txns = 2_000;
+        cfg.raw_txns = 20_000;
     }
     cfg
 }
@@ -153,11 +158,6 @@ fn run(path: CommitPath, threads: usize, txns: u64, hold_us: u64) -> f64 {
     (threads as u64 * txns) as f64 / elapsed
 }
 
-/// Best-of-`reps` throughput (damps scheduler noise for the raw t=1 compare).
-fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::MIN, f64::max)
-}
-
 fn main() {
     let cfg = parse_args();
 
@@ -180,14 +180,30 @@ fn main() {
     }
 
     // Raw single-thread commit cost, no injected hold: the striped path must
-    // not tax the uncontended case.
-    let raw_reps = if cfg.smoke { 1 } else { 5 };
-    let raw_striped = best_of(raw_reps, || run(CommitPath::Striped, 1, cfg.raw_txns, 0));
-    let raw_global = best_of(raw_reps, || run(CommitPath::GlobalLock, 1, cfg.raw_txns, 0));
-    let raw_ratio = raw_striped / raw_global;
+    // not tax the uncontended case. Interleaved striped/global pairs,
+    // summarised by the median pairwise ratio (as `mem_ceiling` does): each
+    // striped run is judged against a global run taken right next to it, and
+    // one descheduled run on either side cannot decide the gate. The order
+    // within a pair alternates so that neither path always runs first.
+    let raw_pairs = 11;
+    let (mut raw_striped, mut raw_ratios) = (Vec::new(), Vec::new());
+    for pair in 0..raw_pairs {
+        let raw = |path| run(path, 1, cfg.raw_txns, 0);
+        let (striped, global) = if pair % 2 == 0 {
+            let striped = raw(CommitPath::Striped);
+            (striped, raw(CommitPath::GlobalLock))
+        } else {
+            let global = raw(CommitPath::GlobalLock);
+            (raw(CommitPath::Striped), global)
+        };
+        raw_striped.push(striped);
+        raw_ratios.push(striped / global);
+    }
+    let raw_ratio = bench::paired_median(&raw_ratios);
     println!(
-        "{{\"mode\":\"raw\",\"threads\":1,\"striped_cps\":{raw_striped:.0},\
-         \"global_cps\":{raw_global:.0},\"ratio\":{raw_ratio:.3}}}"
+        "{{\"mode\":\"raw\",\"threads\":1,\"pairs\":{raw_pairs},\"striped_cps\":{:.0},\
+         \"ratios\":{raw_ratios:.3?},\"ratio\":{raw_ratio:.3}}}",
+        bench::paired_median(&raw_striped)
     );
 
     if cfg.check {

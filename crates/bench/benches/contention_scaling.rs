@@ -12,9 +12,9 @@
 //! immediate retry the ring re-synchronizes after every mutual abort and
 //! throughput collapses — the livelock `tests/contention.rs` pins. A waiting
 //! rung desynchronizes the losers, so holds stop overlapping and throughput
-//! approaches one commit per hold. Holds are sleeps, so the ratio survives
-//! 1-core runners — same trick as `commit_scaling` / `sched_scaling` /
-//! `read_scaling`.
+//! approaches one commit per hold. Holds are sleeps, so the ratio does not
+//! depend on the core count and survives a loaded 2-core box — same trick as
+//! `commit_scaling` / `sched_scaling` / `read_scaling`.
 //!
 //! Usage (cargo bench -p bench --bench contention_scaling -- [flags]):
 //!   --threads N     application threads for the held comparison (default 8)
@@ -66,7 +66,7 @@ fn parse_args() -> Config {
         }
     }
     if cfg.smoke {
-        // Holds are sleeps, so the convoy forms even on a 1-core runner;
+        // Holds are sleeps, so the convoy forms even on a loaded 2-core box;
         // keeping t=8 makes `--smoke --check` a real assertion.
         cfg.threads = 8;
         cfg.dur_ms = 300;

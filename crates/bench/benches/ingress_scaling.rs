@@ -5,7 +5,7 @@
 //! The front door offers a Poisson stream of hot-key-skewed transfer
 //! requests; each request holds its top-level permit for `--work-us` of
 //! modelled service time (a sleep, so the measurement survives a loaded
-//! 1-core runner) before committing its transfer batch. Capacity is
+//! 2-core box) before committing its transfer batch. Capacity is
 //! therefore `min(workers, t) / work`: the parallelism degree directly sets
 //! how much offered load the system can absorb, and an undersized `t` turns
 //! queueing delay — invisible to closed-loop probes — into tail latency.
@@ -84,7 +84,7 @@ fn parse_args() -> BenchConfig {
     }
     if cfg.smoke {
         // Service time is a sleep, so capacity ratios — and therefore the
-        // queueing behaviour the gates assert — survive a 1-core runner.
+        // queueing behaviour the gates assert — survive a loaded 2-core box.
         cfg.workers = 8;
         cfg.work_us = 2_000;
         cfg.measure_ms = 600;

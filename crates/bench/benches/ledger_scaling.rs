@@ -7,7 +7,7 @@
 //! transaction carries `--work-us` of injected compute (a sleep, spent once
 //! per incarnation), modelling the non-transactional work a real transaction
 //! would do; as in `sched_scaling` / `contention_scaling`, sleeps make the
-//! parallel speedup observable even on a loaded 1-core runner. The expected
+//! parallel speedup observable even on a loaded 2-core box. The expected
 //! shape: near-or-below 1x on the 3-account rung (conflicts serialise the
 //! block and re-executions burn extra work) climbing towards the worker
 //! count as accounts grow.
@@ -75,7 +75,7 @@ fn parse_args() -> Config {
         }
     }
     if cfg.smoke {
-        // Work is a sleep, so the speedup survives a 1-core runner; keeping
+        // Work is a sleep, so the speedup survives a 2-core box; keeping
         // t=8 makes `--smoke --check` a real assertion.
         cfg.threads = 8;
         cfg.txns = 128;

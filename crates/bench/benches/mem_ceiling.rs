@@ -187,8 +187,8 @@ fn main() {
         );
     };
 
-    // Interleaved pairs with median pairwise ratios: on a loaded 1-core
-    // container a single descheduled run can sink either side of the
+    // Interleaved pairs with median pairwise ratios: on a loaded 2-core
+    // box a single descheduled run can sink either side of the
     // comparison, and the median over interleaved reps is immune to one
     // noisy pair (same hazard treatment as the scaling benches).
     let mut pairs = Vec::new();

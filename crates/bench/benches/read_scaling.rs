@@ -12,6 +12,12 @@
 //! a single-core runner, exactly like the `commit_scaling` bench does for
 //! the commit path.
 //!
+//! A raw pin-scaling rung, with no injected hold, runs 1-read `read_only`
+//! transactions on one thread and on two, as interleaved pairs, and reports
+//! the median t=2/t=1 throughput ratio. Snapshot begin/end touches only the
+//! thread's own registry slot, so the second thread must add throughput on
+//! a machine with two cores; a shared lock on that path makes it fall.
+//!
 //! Usage (cargo bench -p bench --bench read_scaling -- [flags]):
 //!   --children 1,2,4,8  child counts for the held comparison (default)
 //!   --reads N           reads per child in held runs (default 24)
@@ -19,14 +25,15 @@
 //!   --raw-reads N       reads per child for the raw (no-hold) c=1 runs
 //!                       (default 40000)
 //!   --check             assert the acceptance bar: >=2x at the largest c,
-//!                       <=5% regression at c=1 raw
+//!                       <=5% regression at c=1 raw, pin scaling t2/t1 >= 1.0
 //!   --smoke             tiny run that only proves the bench executes
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use pnstm::{
-    child, FaultKind, FaultPlan, FaultRule, ParallelismDegree, ReadPathMode, Stm, StmConfig, VBox,
+    child, FaultKind, FaultPlan, FaultRule, GcMode, MemConfig, ParallelismDegree, ReadPathMode,
+    Stm, StmConfig, VBox,
 };
 
 const SHARED_BOXES: usize = 8;
@@ -36,6 +43,7 @@ struct Config {
     reads: u64,
     hold_us: u64,
     raw_reads: u64,
+    pin_txns: u64,
     check: bool,
     smoke: bool,
 }
@@ -46,6 +54,7 @@ fn parse_args() -> Config {
         reads: 24,
         hold_us: 1_000,
         raw_reads: 40_000,
+        pin_txns: 400_000,
         check: false,
         smoke: false,
     };
@@ -69,12 +78,13 @@ fn parse_args() -> Config {
         }
     }
     if cfg.smoke {
-        // Holds are sleeps, so even a 1-core runner can overlap c=8 children;
+        // Holds are sleeps, so even a 2-core box can overlap c=8 children;
         // keeping the full fan-out makes `--smoke --check` a real assertion.
         cfg.children = vec![1, 8];
         cfg.reads = 4;
         cfg.hold_us = 500;
         cfg.raw_reads = 2_000;
+        cfg.pin_txns = 100_000;
     }
     cfg
 }
@@ -138,6 +148,38 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
     (0..reps).map(|_| f()).fold(f64::MIN, f64::max)
 }
 
+/// Raw snapshot-pin throughput: `threads` threads each run `txns` 1-read
+/// `read_only` transactions, every thread on its own box. Returns aggregate
+/// transactions/second.
+fn run_pin(threads: usize, txns: u64) -> f64 {
+    // Boxes spaced apart so the threads' reads never share a cache line:
+    // only the snapshot begin/end path can couple them.
+    const SPACING: usize = 8;
+    let stm = Stm::new(StmConfig::default());
+    let boxes: Vec<VBox<u64>> = (0..threads * SPACING).map(|i| stm.new_vbox(i as u64)).collect();
+    let barrier = Arc::new(Barrier::new(threads + 1));
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let (stm, b, barrier) = (stm.clone(), boxes[t * SPACING].clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                let mut acc = 0u64;
+                for _ in 0..txns {
+                    acc = acc.wrapping_add(stm.read_only(|tx| tx.read(&b)));
+                }
+                assert_eq!(acc, (t * SPACING) as u64 * txns, "read something stale");
+            })
+        })
+        .collect();
+    // Clock starts before the release, as in `commit_scaling`.
+    let start = Instant::now();
+    barrier.wait();
+    for h in handles {
+        h.join().unwrap();
+    }
+    (threads as u64 * txns) as f64 / start.elapsed().as_secs_f64()
+}
+
 /// Chain-walk cost (PR 7 follow-up): the same single-threaded read mix over
 /// version chains `versions` deep, before and after a synchronous
 /// [`Stm::gc`] prune. Reads resolve by binary search over the chain vec, so
@@ -149,7 +191,10 @@ fn run_chain_walk(versions: u64, reads: u64, reps: usize) -> (f64, f64, usize) {
         degree: ParallelismDegree::new(1, 1),
         worker_threads: 1,
         // Manual GC only: the deep chains must survive until the pruned pass.
+        // The inline driver has no collector thread, whose idle tick would
+        // otherwise prune them whenever the build outlasts it.
         gc_interval: 0,
+        mem: MemConfig { gc_mode: GcMode::Inline, ..MemConfig::default() },
         ..StmConfig::default()
     });
     let boxes: Vec<VBox<u64>> = (0..SHARED_BOXES).map(|i| stm.new_vbox(i as u64)).collect();
@@ -214,6 +259,23 @@ fn main() {
          \"locked_rps\":{raw_locked:.0},\"ratio\":{raw_ratio:.3}}}"
     );
 
+    // Pin scaling: interleaved t=1/t=2 pairs, summarised by the median
+    // pairwise ratio so one descheduled run cannot decide the gate.
+    let pin_pairs = if cfg.smoke { 5 } else { 7 };
+    let (mut pin_t1s, mut pin_ratios) = (Vec::new(), Vec::new());
+    for _ in 0..pin_pairs {
+        let t1 = run_pin(1, cfg.pin_txns);
+        let t2 = run_pin(2, cfg.pin_txns);
+        pin_t1s.push(t1);
+        pin_ratios.push(t2 / t1);
+    }
+    let pin_ratio = bench::paired_median(&pin_ratios);
+    let pin_t1 = bench::paired_median(&pin_t1s);
+    println!(
+        "{{\"mode\":\"pin\",\"reads\":1,\"pairs\":{pin_pairs},\"t1_tps\":{pin_t1:.0},\
+         \"ratios\":{pin_ratios:.3?},\"t2_over_t1\":{pin_ratio:.3}}}"
+    );
+
     // Chain-walk cost before/after GC pruning (PR 7 follow-up, recorded in
     // DESIGN.md §5g). Informational: no gate, the number documents what
     // pruning buys the read path beyond bounding memory.
@@ -238,9 +300,18 @@ fn main() {
             "lock-free path regresses uncontended c=1 reads by more than 5% \
              (lockfree/locked = {raw_ratio:.3})"
         );
-        println!("CHECK PASSED: {speedup:.2}x at c={c}, raw c=1 ratio {raw_ratio:.3}");
+        assert!(
+            pin_ratio >= 1.0,
+            "a second read_only thread lowers throughput: median t2/t1 = {pin_ratio:.3} \
+             (need >=1.0)"
+        );
+        println!(
+            "CHECK PASSED: {speedup:.2}x at c={c}, raw c=1 ratio {raw_ratio:.3}, \
+             pin t2/t1 {pin_ratio:.3}"
+        );
         let config = format!(
-            "c={c}, reads/child={}, hold_us={}, raw c=1 ratio {raw_ratio:.3}",
+            "c={c}, reads/child={}, hold_us={}, raw c=1 ratio {raw_ratio:.3}, \
+             pin t2/t1 {pin_ratio:.3}",
             cfg.reads, cfg.hold_us
         );
         match bench::write_bench_report("read_scaling", &config, lockfree, speedup) {

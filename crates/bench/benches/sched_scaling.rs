@@ -68,7 +68,7 @@ fn parse_args() -> Config {
         }
     }
     if cfg.smoke {
-        // Stalls are sleeps, so even a 1-core runner overlaps a full t=8,c=8
+        // Stalls are sleeps, so even a 2-core box overlaps a full t=8,c=8
         // fan-out; keeping it makes `--smoke --check` a real assertion.
         cfg.children = vec![1, 8];
         cfg.threads = 8;

@@ -159,7 +159,7 @@ pub(crate) struct StmShared {
     clock: GlobalClock,
     commit_lock: Mutex<()>,
     stripes: StripeTable,
-    registry: Arc<SnapshotRegistry>,
+    registry: SnapshotRegistry,
     stats: Arc<Stats>,
     throttle: Throttle,
     pool: Arc<dyn Scheduler>,
@@ -209,6 +209,9 @@ impl StmShared {
     }
     pub(crate) fn cm(&self) -> &CmEngine {
         &self.cm
+    }
+    pub(crate) fn registry(&self) -> &SnapshotRegistry {
+        &self.registry
     }
 
     pub(crate) fn register_vbox<T: TxValue>(&self, initial: T) -> VBox<T> {
@@ -265,7 +268,7 @@ impl StmShared {
             // The watermark is recomputed per slice (it only grows, so later
             // slices may prune more — never less safely). Computing it also
             // expires overdue leases, whose snapshots stop pinning it; the
-            // clock is read under the registry lock so an in-flight
+            // clock is read before the pin slots are scanned so an in-flight
             // registration cannot be overtaken.
             let (watermark, evicted) = self.registry.gc_watermark_evicting(&self.clock);
             self.stats.record_snapshot_evictions(evicted as u64);
@@ -478,7 +481,7 @@ impl Stm {
             config.cm_mode
         };
         let cm = CmEngine::new(cm_mode, retry_ns);
-        let registry = Arc::new(SnapshotRegistry::new());
+        let registry = SnapshotRegistry::new();
         registry.set_lease(config.mem.snapshot_lease);
         let mem_state = MemState::new(&config.mem);
         let gc_mode = config.mem.gc_mode;
@@ -578,10 +581,8 @@ impl Stm {
             // and the attempt's `Txn` are dropped before any backoff wait —
             // a sleeping loser must not pin the GC watermark.
             let (site, work) = {
-                let _snap = self.shared.registry.register_current(&self.shared.clock);
-                let read_version = _snap.version();
-                let mut tx =
-                    Txn::top(Arc::clone(&self.shared), read_version, Some(_snap.evicted_flag()));
+                let snap = self.shared.registry.register_current(&self.shared.clock);
+                let mut tx = Txn::top(Arc::clone(&self.shared), snap.version(), snap.slot_index());
                 match body(&mut tx) {
                     Ok(value) => match tx.commit_top() {
                         Ok(()) => {
@@ -702,8 +703,9 @@ impl Stm {
     /// leasing a *long-running* reader can however be evicted — use
     /// [`ReadTxn::try_read`] to observe that instead of panicking.
     pub fn read_only<R>(&self, body: impl FnOnce(&mut ReadTxn) -> R) -> R {
-        let snap = self.shared.registry.register_current(&self.shared.clock);
-        let mut tx = ReadTxn { shared: Arc::clone(&self.shared), snap };
+        let shared: &StmShared = &self.shared;
+        let snap = shared.registry.register_current(&shared.clock);
+        let mut tx = ReadTxn { shared, snap };
         body(&mut tx)
     }
 
@@ -918,12 +920,12 @@ impl std::fmt::Debug for Stm {
 /// reads of pruned chains fail with [`StmError::SnapshotEvicted`]. Reads
 /// that still find a version ≤ the snapshot keep succeeding — eviction
 /// *permits* pruning, it doesn't rewind chains.
-pub struct ReadTxn {
-    shared: Arc<StmShared>,
-    snap: SnapshotGuard,
+pub struct ReadTxn<'a> {
+    shared: &'a StmShared,
+    snap: SnapshotGuard<'a>,
 }
 
-impl ReadTxn {
+impl ReadTxn<'_> {
     /// Read `vbox` at this transaction's snapshot.
     ///
     /// Panics if the snapshot was evicted *and* the GC has already pruned

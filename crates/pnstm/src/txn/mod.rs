@@ -33,7 +33,6 @@ pub(crate) mod sets;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::{TxError, TxResult};
@@ -115,11 +114,11 @@ pub struct Txn {
     /// Stands in for the removed own-write-set mutex in `Locked` mode.
     own_ws_mx: Mutex<()>,
     reads: ReadPathCounters,
-    /// Eviction flag of the root snapshot's lease registration (shared by
-    /// the whole transaction tree; `None` for unleased contexts). Set by the
-    /// GC watermark computation once the lease expired — see
+    /// Registry slot pinning the root snapshot (shared by the whole
+    /// transaction tree). Its eviction flag is set by the GC watermark
+    /// computation once the lease expired — see
     /// [`crate::clock::SnapshotRegistry`].
-    evicted: Option<Arc<AtomicBool>>,
+    snap_slot: usize,
     /// Latched true once this attempt observed its snapshot's eviction (a
     /// below-floor read it had to paper over): the attempt must abort at
     /// commit regardless of what the flag reads later.
@@ -127,11 +126,7 @@ pub struct Txn {
 }
 
 impl Txn {
-    pub(crate) fn top(
-        shared: Arc<StmShared>,
-        root_read_version: u64,
-        evicted: Option<Arc<AtomicBool>>,
-    ) -> Self {
+    pub(crate) fn top(shared: Arc<StmShared>, root_read_version: u64, snap_slot: usize) -> Self {
         let locked_reads =
             matches!(shared.config().read_path, crate::runtime::ReadPathMode::Locked);
         Self {
@@ -144,7 +139,7 @@ impl Txn {
             locked_reads,
             own_ws_mx: Mutex::new(()),
             reads: ReadPathCounters::default(),
-            evicted,
+            snap_slot,
             doomed: false,
         }
     }
@@ -154,7 +149,7 @@ impl Txn {
         root_read_version: u64,
         scope: Vec<ScopeEntry>,
         depth: u32,
-        evicted: Option<Arc<AtomicBool>>,
+        snap_slot: usize,
     ) -> Self {
         let locked_reads =
             matches!(shared.config().read_path, crate::runtime::ReadPathMode::Locked);
@@ -168,7 +163,7 @@ impl Txn {
             locked_reads,
             own_ws_mx: Mutex::new(()),
             reads: ReadPathCounters::default(),
-            evicted,
+            snap_slot,
             doomed: false,
         }
     }
@@ -177,7 +172,7 @@ impl Txn {
     /// longer honours it). Checked by the commit protocols and the retry
     /// drivers; true also once this attempt hit a below-floor read.
     pub(crate) fn snapshot_evicted(&self) -> bool {
-        self.doomed || self.evicted.as_ref().is_some_and(|f| f.load(Ordering::Acquire))
+        self.doomed || self.shared.registry().is_evicted(self.snap_slot)
     }
 
     /// The global snapshot version this transaction tree reads at.
@@ -407,7 +402,7 @@ impl Txn {
                 let inherited = inherited.clone();
                 let results = tx_results.clone();
                 let panic_payload = Arc::clone(&panic_payload);
-                let evicted = self.evicted.clone();
+                let snap_slot = self.snap_slot;
                 Box::new(move || {
                     let outcome = run_child(
                         &shared,
@@ -415,7 +410,7 @@ impl Txn {
                         depth,
                         &parent_proto,
                         &inherited,
-                        evicted,
+                        snap_slot,
                         &mut body,
                         &panic_payload,
                     );
@@ -688,7 +683,7 @@ fn run_child<R>(
     depth: u32,
     parent_proto: &ScopeEntry,
     inherited: &[ScopeEntry],
-    evicted: Option<Arc<AtomicBool>>,
+    snap_slot: usize,
     body: &mut (dyn FnMut(&mut Txn) -> TxResult<R> + Send),
     panic_payload: &Arc<Mutex<Option<Box<dyn Any + Send>>>>,
 ) -> TxResult<R> {
@@ -706,7 +701,7 @@ fn run_child<R>(
         let mut scope = Vec::with_capacity(1 + inherited.len());
         scope.push(ScopeEntry { cap: parent_proto.nest.now(), ..parent_proto.clone() });
         scope.extend_from_slice(inherited);
-        let mut tx = Txn::nested(Arc::clone(shared), root_rv, scope, depth, evicted.clone());
+        let mut tx = Txn::nested(Arc::clone(shared), root_rv, scope, depth, snap_slot);
 
         let ran = panic::catch_unwind(AssertUnwindSafe(|| body(&mut tx)));
         match ran {

@@ -1,6 +1,7 @@
 //! Read-path behaviour: ancestor-read recording (the sibling-invalidation
 //! regression), Locked vs. LockFree differential equivalence, read-path
-//! stats/trace plumbing, and the snapshot-registration/GC race regression.
+//! stats/trace plumbing, the snapshot-registration/GC race regression, and
+//! snapshot-slot growth under many live nested snapshots.
 
 use pnstm::{child, ParallelismDegree, ReadPathMode, Stm, StmConfig, TestSink, TraceEvent};
 use std::sync::Arc;
@@ -355,4 +356,47 @@ fn gc_never_prunes_a_snapshot_being_registered() {
         h.join().unwrap();
     }
     assert!(stm.read_atomic(&b) > 0);
+}
+
+/// More snapshots live at once than the registry has initial pin slots:
+/// every thread holds an `atomic` snapshot and a `read_only` nested inside
+/// it. The slot array must grow, `live_snapshots` must count every pin
+/// exactly, and nobody may wait on a free slot.
+#[test]
+fn nested_snapshots_beyond_the_initial_slots_grow_the_registry() {
+    let initial = pnstm::clock::SnapshotRegistry::new().capacity();
+    let threads = initial / 2 + 4;
+    let stm = Stm::new(StmConfig {
+        degree: ParallelismDegree::new(threads, 1),
+        worker_threads: 0,
+        ..StmConfig::default()
+    });
+    let b = stm.new_vbox(5u64);
+    let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
+    let handles: Vec<_> = (0..threads)
+        .map(|_| {
+            let (stm, b, barrier) = (stm.clone(), b.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                stm.atomic(|tx| {
+                    let outer = tx.read(&b);
+                    let inner = stm.read_only(|r| {
+                        barrier.wait();
+                        barrier.wait();
+                        r.read(&b)
+                    });
+                    Ok(outer + inner)
+                })
+                .unwrap()
+            })
+        })
+        .collect();
+    barrier.wait();
+    assert_eq!(stm.live_snapshots(), 2 * threads, "every nested pin is counted");
+    barrier.wait();
+    for h in handles {
+        assert_eq!(h.join().unwrap(), 10);
+    }
+    assert_eq!(stm.live_snapshots(), 0);
+    stm.gc();
+    assert_eq!(stm.read_atomic(&b), 5);
 }

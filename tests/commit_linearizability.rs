@@ -15,7 +15,7 @@
 //! concurrent child transactions) are driven through the same oracle.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use pnstm::{child, CommitPath, ParallelismDegree, Stm, StmConfig, VBox};
 
@@ -65,18 +65,28 @@ impl Oracle {
         let expected_sum = ACCOUNTS as i64 * INITIAL_BALANCE;
         let stop = Arc::new(AtomicBool::new(false));
         let committed = Arc::new(AtomicU64::new(0));
+        // Start latch: the transfer threads begin only once the checker has
+        // taken its first snapshot, so a fast run cannot finish before the
+        // checker looked at all.
+        let start = Arc::new(Barrier::new(THREADS + 1));
 
         let checker = {
             let oracle = Arc::clone(self);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
-                let mut snapshots = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                let check = || {
                     assert_eq!(
                         oracle.snapshot_sum(),
                         expected_sum,
                         "a concurrent snapshot saw money created or destroyed"
                     );
+                };
+                check();
+                let mut snapshots = 1u64;
+                start.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    check();
                     snapshots += 1;
                 }
                 assert!(snapshots > 0);
@@ -99,7 +109,9 @@ impl Oracle {
             .map(|i| {
                 let oracle = Arc::clone(self);
                 let committed = Arc::clone(&committed);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let mut rng = 0x5EED_0000 + i as u64;
                     for _ in 0..TRANSFERS_PER_THREAD {
                         let src = (splitmix(&mut rng) as usize) % ACCOUNTS;
