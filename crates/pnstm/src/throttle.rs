@@ -250,6 +250,11 @@ pub struct PackedGate {
     /// higher shards were woken last on every release — a starvation bias
     /// whose park-timeout churn also inflated `park_count`.
     next_unpark: AtomicUsize,
+    /// Threads inside [`PackedGate::park_for_change`], counted from before
+    /// their shard registration to after their deregistration. A release
+    /// that reads 0 skips the shard scan: the uncontended release is then
+    /// one CAS and one load, not a shared `fetch_add` plus four shard locks.
+    waiters: AtomicUsize,
     /// Counts parks into `park_count` when attached ([`Stats::record_park`]).
     stats: Option<Arc<Stats>>,
 }
@@ -271,12 +276,17 @@ impl PackedGate {
             parkers: (0..GATE_SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             next_shard: AtomicUsize::new(0),
             next_unpark: AtomicUsize::new(0),
+            waiters: AtomicUsize::new(0),
             stats,
         }
     }
 
     /// CAS-update the word with `f`, which returns the new decoded state (or
     /// `None` to abort). Returns the *previous* decoded state on success.
+    ///
+    /// The successful CAS is `SeqCst`: it is one half of the store-load pair
+    /// with [`PackedGate::park_for_change`] that keeps a releaser and a
+    /// parker from both missing each other (see `waiters`).
     fn update(
         &self,
         mut f: impl FnMut(bool, usize, i64) -> Option<(bool, usize, i64)>,
@@ -288,7 +298,7 @@ impl PackedGate {
             match self.word.compare_exchange_weak(
                 cur,
                 gate_pack(nc, ncap, navail),
-                Ordering::AcqRel,
+                Ordering::SeqCst,
                 Ordering::Acquire,
             ) {
                 Ok(_) => return Some((closed, cap, avail)),
@@ -298,6 +308,14 @@ impl PackedGate {
     }
 
     fn unpark_one(&self) {
+        // Nobody is between registration and deregistration: nothing to
+        // wake. A parker that registers after this load re-checks the word
+        // after registering, and the SeqCst order (our word CAS, this load;
+        // its `waiters` increment, its word load) guarantees it then sees
+        // the permit this release returned.
+        if self.waiters.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         // Rotate the starting shard so no shard's parkers are structurally
         // last in line (fairness across shards, not strict FIFO within one).
         let start = self.next_unpark.fetch_add(1, Ordering::Relaxed);
@@ -328,17 +346,17 @@ impl PackedGate {
         let id = me.id();
         let shard =
             &self.parkers[self.next_shard.fetch_add(1, Ordering::Relaxed) % self.parkers.len()];
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         shard.lock().push(me);
-        let (closed, _, avail) = gate_unpack(self.word.load(Ordering::Acquire));
-        if closed || avail > 0 {
-            shard.lock().retain(|t| t.id() != id);
-            return;
+        let (closed, _, avail) = gate_unpack(self.word.load(Ordering::SeqCst));
+        if !(closed || avail > 0) {
+            if let Some(stats) = &self.stats {
+                stats.record_park();
+            }
+            thread::park_timeout(Duration::from_millis(50));
         }
-        if let Some(stats) = &self.stats {
-            stats.record_park();
-        }
-        thread::park_timeout(Duration::from_millis(50));
         shard.lock().retain(|t| t.id() != id);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1085,7 +1103,8 @@ mod tests {
     fn unpark_one_rotates_across_shards() {
         let g = PackedGate::new(1);
         // Plant parker entries directly: two in shard 0, one in each other
-        // shard. (White-box: `park_for_change` normally registers these.)
+        // shard. (White-box: `park_for_change` normally registers these,
+        // and counts itself in `waiters`, which `unpark_one` checks first.)
         // Unparking `thread::current()` is a no-op beyond consuming the
         // entry, which is all this test observes.
         let me = thread::current();
@@ -1094,6 +1113,7 @@ mod tests {
         for shard in g.parkers.iter().skip(1) {
             shard.lock().push(me.clone());
         }
+        g.waiters.store(GATE_SHARDS + 1, Ordering::SeqCst);
         // One release per shard count: a fair rotation visits every shard
         // once, so each non-zero shard drains. The old scan-from-0 code
         // would pop shard 0 twice and leave the last shard untouched.
@@ -1177,5 +1197,35 @@ mod tests {
         g.release();
         h.join().unwrap();
         assert!(stats.snapshot().park_count >= 1);
+    }
+
+    /// A release with no registered parker skips the shard scan; one with a
+    /// parker must still wake it directly. Over 50 handoffs the median wake
+    /// latency stays far below the 50 ms park-timeout backstop, which is
+    /// what a lost wakeup would cost.
+    #[test]
+    fn packed_gate_release_wakes_a_parked_acquirer() {
+        let g = Arc::new(PackedGate::new(1));
+        let mut handoffs = Vec::new();
+        for _ in 0..50 {
+            assert!(g.acquire());
+            let g2 = Arc::clone(&g);
+            let h = thread::spawn(move || {
+                assert!(g2.acquire());
+                let woke = std::time::Instant::now();
+                g2.release();
+                woke
+            });
+            while g.waiters.load(Ordering::SeqCst) == 0 {
+                thread::yield_now();
+            }
+            let released = std::time::Instant::now();
+            g.release();
+            handoffs.push(h.join().unwrap().saturating_duration_since(released));
+        }
+        assert_eq!(g.waiters.load(Ordering::SeqCst), 0, "every parker deregistered");
+        handoffs.sort();
+        let median = handoffs[handoffs.len() / 2];
+        assert!(median < Duration::from_millis(10), "median handoff {median:?}");
     }
 }

@@ -102,7 +102,7 @@ pub struct Txn {
     /// snapshot to descendants at each `parallel()` call.
     ws: Arc<WriteSet>,
     /// Own reads (excluding own-write-set hits), plus the reads of committed
-    /// children merged in at each `parallel()` join.
+    /// children moved in at each `parallel()` join.
     rs: ReadSet,
     /// Ancestor chain, nearest first; empty for top-level transactions.
     scope: Vec<ScopeEntry>,
@@ -368,7 +368,7 @@ impl Txn {
         }
         // Each batch gets a fresh nest context; at join time the batch's
         // committed writes are folded into this transaction's write set and
-        // the children's reads into its read set, so the transaction's own
+        // the children's reads moved into its read set, so the transaction's own
         // sets always describe its complete tentative state.
         let nest = Arc::new(NestCtx::new());
         let c = self.shared.throttle().nested_limit();
@@ -431,14 +431,14 @@ impl Txn {
         // Join: fold the batch's effects into this transaction. The index is
         // quiescent now, so it is safe to iterate without the commit lock.
         // Index entries override pre-batch write-set values (they are
-        // newer); the children's merged reads become our reads, to be
+        // newer); the children's merged reads move into our reads, to be
         // revalidated at our own commit.
         {
             let ws = Arc::make_mut(&mut self.ws);
             for entry in nest.index.newest_entries() {
                 ws.insert(entry.vbox, entry.value);
             }
-            self.rs.merge_from(&nest.merged_rs.lock());
+            self.rs.absorb(std::mem::take(&mut *nest.merged_rs.lock()));
         }
 
         if let Some(payload) = panic_payload.lock().take() {
@@ -487,9 +487,10 @@ impl Txn {
             parent.nest.publish(version);
         }
         drop(commit_guard);
-        // Merge reads (ours + our committed children's) upward for
-        // revalidation at the parent's own commit.
-        parent.nest.merged_rs.lock().merge_from(&self.rs);
+        // Move reads (ours + our committed children's) upward for
+        // revalidation at the parent's own commit; this attempt is done
+        // with them.
+        parent.nest.merged_rs.lock().absorb(std::mem::take(&mut self.rs));
         Ok(())
     }
 
@@ -583,16 +584,14 @@ impl Txn {
         Ok(())
     }
 
-    /// Validate the whole tree's reads (children's reads were folded into
-    /// ours at each join) against the stripe table: each read box's stripe
-    /// must be unlocked (or held by this commit) with a stamp at or below
-    /// our snapshot. Coarser than per-box validation — distinct boxes
-    /// sharing a stripe can fail this spuriously — but never admits a stale
-    /// read.
+    /// Validate the whole tree's reads (children's reads were moved into
+    /// ours at each join) against the stripe table: each read stripe must be
+    /// unlocked (or held by this commit) with a stamp at or below our
+    /// snapshot. One check per distinct read stripe, not per read. Coarser
+    /// than per-box validation — distinct boxes sharing a stripe can fail
+    /// this spuriously — but never admits a stale read.
     fn stripe_validate(&self, held: &[usize]) -> bool {
-        let table = self.shared.stripes();
-        let rv = self.root_read_version;
-        self.rs.iter().all(|(id, _)| table.read_valid(crate::stripes::stripe_of(*id), rv, held))
+        self.rs.stripes_valid(self.shared.stripes(), self.root_read_version, held)
     }
 
     /// After a stripe-validation failure: if every read box is individually
@@ -624,7 +623,7 @@ impl Txn {
         if self.shared.fault().inject(crate::fault::FaultKind::ValidationAbort).is_some() {
             return Err(TxError::Conflict);
         }
-        // Validate the whole tree's reads (children's reads were folded into
+        // Validate the whole tree's reads (children's reads were moved into
         // ours at each join).
         for (_, vbox) in self.rs.iter() {
             if vbox.latest_version() > self.root_read_version {

@@ -47,9 +47,10 @@ use super::sets::{ReadSet, WsEntry};
 use crate::vbox::{filter_bits, mix_id, AnyVBox, BoxId, ErasedValue};
 
 /// Buckets in a [`NestIndex`] (power of two). A nest index holds the boxes
-/// written by one batch of children — typically a handful — so 64 buckets
-/// keep chains at ~1 node while the array stays one cache line of pointers
-/// per 8 buckets.
+/// written by one batch of children: a handful for short children, but a
+/// scanning batch such as the Array shape's writes hundreds (~400 boxes for
+/// two 2048-box chunks rewriting 10%), so bucket chains there run ~6 nodes.
+/// The array stays one cache line of pointers per 8 buckets.
 const NEST_BUCKETS: usize = 64;
 
 #[inline]
@@ -304,7 +305,8 @@ pub(crate) struct NestCtx {
     pub(crate) ws_mx: Mutex<()>,
     /// Sibling-visible tentative versions (see module docs).
     pub(crate) index: NestIndex,
-    /// Read sets of committed children, merged for revalidation one level up.
+    /// Read sets of committed children, moved in by each nested commit and
+    /// moved out again at the join for revalidation one level up.
     pub(crate) merged_rs: Mutex<ReadSet>,
 }
 

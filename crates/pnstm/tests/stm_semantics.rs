@@ -580,3 +580,109 @@ fn c_equals_one_runs_children_sequentially() {
     .unwrap();
     assert_eq!(peak.load(Ordering::SeqCst), 1, "c=1 must serialize children");
 }
+
+/// Committed children's read sets move up the tree (swapped when the
+/// receiver is smaller, inserted into the larger map otherwise) and are
+/// revalidated only at the root's commit. These tests read a box `x` only in
+/// a descendant, then commit an outside write to `x` after the join but
+/// before the root commits: the root's first attempt must abort and retry,
+/// and the result must match the serial order "outside write, then root".
+mod revalidation_after_move {
+    use super::*;
+
+    /// `c = 1`: the calling thread runs the children in task order, so the
+    /// test decides which child commits first.
+    fn sequential_children_stm() -> Stm {
+        Stm::new(StmConfig {
+            degree: ParallelismDegree::new(4, 1),
+            worker_threads: 2,
+            ..StmConfig::default()
+        })
+    }
+
+    /// A child that reads every box in `boxes` and returns their sum.
+    fn reader(boxes: Vec<pnstm::VBox<i64>>) -> pnstm::ChildTask<i64> {
+        child(move |ct| Ok(boxes.iter().map(|b| ct.read(b)).sum()))
+    }
+
+    /// Run `root` (which must read `x` only through descendants and return
+    /// the value they saw) as a transaction that writes `y := seen + 1`; on
+    /// its first attempt, an outside transaction commits `x := 100` between
+    /// the join and the root's commit.
+    fn check(
+        stm: &Stm,
+        x: &pnstm::VBox<i64>,
+        root: impl Fn(&mut pnstm::Txn) -> pnstm::TxResult<i64>,
+    ) {
+        let y = stm.new_vbox(0i64);
+        let attempts = AtomicUsize::new(0);
+        stm.atomic(|tx| {
+            let seen = root(tx)?;
+            if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                let (outside, x) = (stm.clone(), x.clone());
+                let outside_write = move || {
+                    outside.atomic(|o| {
+                        o.write(&x, 100);
+                        Ok(())
+                    })
+                };
+                thread::spawn(outside_write).join().unwrap().unwrap();
+            }
+            tx.write(&y, seen + 1);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(attempts.load(Ordering::SeqCst), 2, "the stale attempt must abort once");
+        assert!(stm.stats().snapshot().top_aborts >= 1);
+        assert_eq!(stm.read_atomic(x), 100);
+        assert_eq!(stm.read_atomic(&y), 101, "serial order: outside write, then root");
+    }
+
+    #[test]
+    fn read_moved_by_the_first_committing_child_is_revalidated() {
+        let stm = sequential_children_stm();
+        let x = stm.new_vbox(0i64);
+        let fill: Vec<_> = (0..8).map(|_| stm.new_vbox(0i64)).collect();
+        // The first child's set is swapped into the empty batch set; the
+        // second, smaller one is inserted into it.
+        check(&stm, &x, |tx| {
+            let mut first = fill.clone();
+            first.push(x.clone());
+            let out = tx.parallel(vec![reader(first), reader(fill[..2].to_vec())])?;
+            Ok(out[0])
+        });
+    }
+
+    #[test]
+    fn read_moved_by_the_second_committing_child_is_revalidated() {
+        let stm = sequential_children_stm();
+        let x = stm.new_vbox(0i64);
+        let fill: Vec<_> = (0..8).map(|_| stm.new_vbox(0i64)).collect();
+        // The second child's smaller set is inserted into the larger batch
+        // set; the root read more boxes than the batch, so the join inserts
+        // too.
+        check(&stm, &x, |tx| {
+            let mut own: Vec<_> = (0..16).map(|_| tx.new_vbox(0i64)).collect();
+            own.extend(fill.iter().cloned());
+            let _: i64 = own.iter().map(|b| tx.read(b)).sum();
+            let out = tx.parallel(vec![reader(fill.clone()), reader(vec![x.clone()])])?;
+            Ok(out[1])
+        });
+    }
+
+    #[test]
+    fn read_moved_up_from_a_grandchild_is_revalidated() {
+        let stm = sequential_children_stm();
+        let x = stm.new_vbox(0i64);
+        // The grandchild's set moves into the child at the inner join, and
+        // from the child into the root at the outer one.
+        check(&stm, &x, |tx| {
+            let x = x.clone();
+            let out = tx.parallel(vec![child(move |ct| {
+                let mut inner = ct.parallel(vec![reader(vec![x.clone()])])?;
+                Ok(inner.pop().unwrap())
+            })])?;
+            Ok(out[0])
+        });
+    }
+}
